@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any
 
 from repro.blob.store import BlobError, BlobManifest, BlobStore
 from repro.http.client import RestClient
@@ -95,10 +94,3 @@ def _stage_remote(
         return store.commit_manifest(manifest)
     except BlobError as exc:
         raise StagingError(f"cannot commit staged blob {digest}: {exc}") from exc
-
-
-def blob_ref_target(reference: dict[str, Any]) -> "tuple[str, str]":
-    """Split a blob reference into ``(uri, digest)`` for staging."""
-    from repro.core.filerefs import blob_digest, file_uri
-
-    return file_uri(reference), blob_digest(reference)

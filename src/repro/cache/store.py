@@ -60,15 +60,6 @@ class CacheStats:
     expirations: int
     invalidations: int
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.coalesced + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        lookups = self.lookups
-        return (self.hits + self.coalesced) / lookups if lookups else 0.0
-
 
 class _DoneEntry:
     __slots__ = ("service", "job_id", "stored")
@@ -257,11 +248,6 @@ class ResultCache:
     def pending_count(self) -> int:
         with self._cond:
             return len(self._pending)
-
-    @property
-    def inflight_count(self) -> int:
-        with self._cond:
-            return len(self._inflight)
 
     def __len__(self) -> int:
         with self._cond:

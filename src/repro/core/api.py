@@ -178,10 +178,6 @@ def job_uri(base_uri: str, job_id: str) -> str:
     return f"{base_uri}/jobs/{job_id}"
 
 
-def file_uri_for(base_uri: str, job_id: str, file_id: str) -> str:
-    return f"{job_uri(base_uri, job_id)}/files/{file_id}"
-
-
 def _to_http_error(error: ServiceError) -> HttpError:
     return HttpError(error.http_status, error.message, details=error.details,
                      retry_after=getattr(error, "retry_after", None))

@@ -18,6 +18,8 @@ Layers:
   rewriting (replica address space → gateway address space);
 - :mod:`repro.gateway.idempotency` — replaying POST responses by
   ``Idempotency-Key``;
+- :mod:`repro.gateway.forwarding` — the one forwarding primitive: one
+  attempt (slot, breaker permit, span, counter) per try of a request;
 - :mod:`repro.gateway.gateway` — the gateway REST application itself.
 """
 

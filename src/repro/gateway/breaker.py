@@ -92,6 +92,12 @@ class CircuitBreaker:
             if self._state is BreakerState.CLOSED and self._failures >= self.failure_threshold:
                 self._trip()
 
+    @property
+    def probes_in_flight(self) -> int:
+        """Half-open probe permits granted and not yet answered."""
+        with self._lock:
+            return self._probes_in_flight
+
     def retry_after(self) -> float:
         """Seconds until an open breaker admits its next probe (0 otherwise)."""
         with self._lock:
@@ -152,3 +158,8 @@ class RetryBudget:
                 return False
             self._balance -= 1.0
             return True
+
+    def refund(self) -> None:
+        """Return the token of a retry that found no replica to go to."""
+        with self._lock:
+            self._balance = min(self.cap, self._balance + 1.0)

@@ -21,16 +21,28 @@ prefixes simply stack).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import urlencode
 
 from repro.cache import routing_hint
 from repro.gateway.balancer import Policy, create_policy, ring_successor
 from repro.gateway.breaker import RetryBudget
+from repro.gateway.forwarding import (
+    DONE,
+    HOLD,
+    NOT_HERE,
+    RETRY,
+    Attempt,
+    Selection,
+    classify_lookup,
+    classify_pinned,
+    classify_read,
+)
 from repro.gateway.handoff import HandoffTable
 from repro.gateway.idempotency import IdempotencyCache
 from repro.gateway.replicaset import Replica, ReplicaSet, ReplicaState
@@ -43,7 +55,7 @@ from repro.gateway.routing import (
 )
 from repro.http.app import RestApp
 from repro.http.client import IDEMPOTENCY_KEY_HEADER, X_CACHE_HEADER, parse_retry_after
-from repro.http.messages import Headers, HttpError, Request, Response
+from repro.http.messages import HttpError, Request, Response
 from repro.http.registry import TransportRegistry
 from repro.http.server import RestServer
 from repro.http.transport import ConnectError, TransportError
@@ -54,7 +66,7 @@ from repro.observability import (
     mount_metrics,
 )
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.trace import Tracer, build_trace_tree, merge_spans, span, trace_headers
+from repro.runtime.trace import Tracer, build_trace_tree, merge_spans, trace_headers
 
 logger = logging.getLogger(__name__)
 
@@ -142,8 +154,8 @@ class ServiceGateway:
             mount_metrics(self.app, self.metrics)
             self._forward_attempts = self.metrics.counter(
                 "mc_gateway_forward_attempts_total",
-                "Submit forward attempts to replicas, by outcome.",
-                labels=("outcome",),
+                "Forward attempts to replicas on every route, by route and outcome.",
+                labels=("route", "outcome"),
             )
         self._server: RestServer | None = None
         # what the replicas' result caches did with our submits, as seen
@@ -154,8 +166,8 @@ class ServiceGateway:
         self.app.route("GET", "/", self._health)
         self.app.route("GET", "/health", self._health)
         self.app.route("GET", "/status", self._status)
-        self.app.route("GET", "/services", self._index)
-        self.app.route("GET", "/services/{name}", self._describe)
+        self.app.route("GET", "/services", self._read)
+        self.app.route("GET", "/services/{name}", self._read)
         self.app.route("POST", "/services/{name}", self._submit)
         self.app.route("GET", "/services/{name}/jobs/{job_id}", self._get_job)
         self.app.route("DELETE", "/services/{name}/jobs/{job_id}", self._delete_job)
@@ -164,7 +176,10 @@ class ServiceGateway:
         self.app.route("POST", "/blobs", self._put_blob)
         self.app.route("PUT", "/blobs/{ref}", self._put_blob)
         self.app.route("GET", "/blobs/{ref}", self._get_blob)
-        self.app.route("GET", "/blobs/{ref}/manifest", self._get_blob_manifest)
+        # manifests carry digests only, never URIs: nothing to rewrite
+        self.app.route(
+            "GET", "/blobs/{ref}/manifest", functools.partial(self._get_blob, suffix="/manifest")
+        )
         if self.metrics is not None:
             instrument_gateway(self)
 
@@ -453,192 +468,102 @@ class ServiceGateway:
         """Platform-wide health: fan out to replica ``/metrics``, merge."""
         return Response.json(gateway_status(self))
 
-    def _index(self, request: Request) -> Response:
-        replica, response = self._forward_any("GET", "/services", request)
-        document = rewrite_tree(response.json_body, replica, self.base_uri)
-        if isinstance(document, dict):
-            document["gateway"] = self.name
-        return Response.json(document, status=response.status)
-
-    def _describe(self, request: Request, name: str) -> Response:
-        replica, response = self._forward_any("GET", f"/services/{name}", request)
+    def _read(self, request: Request, name: "str | None" = None) -> Response:
+        """A spread read: the service index, or one service's description."""
+        path = "/services" if name is None else f"/services/{name}"
+        replica, response = self.forward(request, "GET", path, Selection("read"), classify_read)
         if not response.ok:
             return self._proxied(response)
         document = rewrite_tree(response.json_body, replica, self.base_uri)
+        if name is None and isinstance(document, dict):
+            document["gateway"] = self.name
         return Response.json(document, status=response.status)
 
     def _submit(self, request: Request, name: str) -> Response:
-        idempotency_key = request.headers.get(IDEMPOTENCY_KEY_HEADER)
-        if not idempotency_key:
-            return self._submit_attempts(request, name, None)
-        # reserve the key before forwarding, so a concurrent duplicate waits
-        # for this attempt's outcome instead of racing it into a second job
-        owner, cached = self.idempotency.reserve(idempotency_key)
-        if cached is not None:
-            return cached
-        if not owner:
-            return self._unavailable(
-                503,
-                f"a request with Idempotency-Key {idempotency_key!r} is still in flight",
-            )
-        try:
-            return self._submit_attempts(request, name, idempotency_key)
-        finally:
-            # no-op when the attempt stored its response; otherwise hands
-            # the reservation to a waiting duplicate
-            self.idempotency.release(idempotency_key)
-
-    def _submit_attempts(self, request: Request, name: str, idempotency_key: str | None) -> Response:
-        headers = self._forward_headers(request)
+        idempotency_key = request.headers.get(IDEMPOTENCY_KEY_HEADER) or None
+        if idempotency_key:
+            # reserve the key before forwarding, so a concurrent duplicate
+            # waits for this attempt's outcome instead of racing it into a
+            # second job
+            owner, cached = self.idempotency.reserve(idempotency_key)
+            if cached is not None:
+                return cached
+            if not owner:
+                raise self._unavailable(
+                    503,
+                    f"a request with Idempotency-Key {idempotency_key!r} is still in flight",
+                )
+        # body_bytes, not body: a large submission may have been spilled to
+        # a spool by the HTTP core, leaving request.body empty
+        body = request.body_bytes
         # key selection by submission *content*: a consistent-hash policy
         # then lands identical work on the replica whose result cache most
         # likely already holds it (correctness never depends on this —
         # replicas compute the authoritative fingerprint themselves)
-        # body_bytes, not body: a large submission may have been spilled to
-        # a spool by the HTTP core, leaving request.body empty
-        body = request.body_bytes
-        balance_key = routing_hint(name, body)
-        tried: set[str] = set()
-        saturated = False
-        bound_unavailable = False
-        attempts = 0
-        while attempts < self.max_attempts:
-            # spend the retry token before selecting, so an aborted retry
-            # cannot leak the half-open probe permit `_select` may consume
-            if attempts > 0 and not self.retry_budget.try_spend():
-                logger.warning("gateway %s: retry budget exhausted for POST %s", self.name, name)
-                break
-            replica = None
-            if idempotency_key:
-                replica, bound = self._bound_replica(idempotency_key)
-                if bound and replica is None:
-                    bound_unavailable = True
-                    break
-            if replica is None:
-                replica, reason = self._select(tried, balance_key)
-                if replica is None:
-                    saturated = saturated or reason == "saturated"
-                    break
-            attempts += 1
-            try:
-                with span("gateway.forward", labels={"replica": replica.id, "service": name}):
-                    # recompute the trace header inside the span, so the
-                    # replica's spans parent under this forward attempt
-                    attempt_headers = dict(headers)
-                    attempt_headers.update(trace_headers())
-                    response = self.registry.request(
-                        "POST",
-                        f"{replica.base_url}/services/{name}",
-                        headers=attempt_headers,
-                        body=body,
-                    )
-            except ConnectError as exc:
-                self._count_forward("connect-error")
-                # nothing reached the replica: safe to try another — unless
-                # an earlier ambiguous failure bound the key to this one, in
-                # which case only this replica may be retried
-                replica.breaker.record_failure()
-                if not idempotency_key or self.idempotency.binding(idempotency_key) != replica.id:
-                    tried.add(replica.id)
-                logger.info("gateway %s: POST %s connect failure on %s: %s", self.name, name, replica.id, exc)
-                continue
-            except TransportError as exc:
-                self._count_forward("transport-error")
-                replica.breaker.record_failure()
-                if idempotency_key is None:
-                    # the replica may have processed the request; replaying
-                    # without a key could create a duplicate job
-                    raise HttpError(
-                        502,
-                        f"connection to replica {replica.id} failed mid-request: {exc}",
-                        details={"hint": "supply an Idempotency-Key to make POSTs replayable"},
-                    ) from exc
-                # ambiguous: the replica may own this key's job now, so pin
-                # every further attempt (this request and later client
-                # retries) to it — its idempotency ledger deduplicates
-                self.idempotency.bind(idempotency_key, replica.id)
-                logger.info(
-                    "gateway %s: POST %s mid-request failure on %s, replaying there", self.name, name, replica.id
-                )
-                continue
-            finally:
-                replica.release_slot()
+        selection = Selection(
+            "submit",
+            key=routing_hint(name, body),
+            bound_key=idempotency_key,
+            limit=self.max_attempts,
+        )
+        classify = functools.partial(self._classify_submit, idempotency_key)
+        try:
+            replica, response = self.forward(
+                request, "POST", f"/services/{name}", selection, classify, body=body
+            )
             if response.status >= 500:
-                self._count_forward("server-error")
-                replica.breaker.record_failure()
-                if idempotency_key is None:
-                    tried.add(replica.id)
-                    return self._proxied(response)
-                if response.status == 503 and self.idempotency.binding(idempotency_key) == replica.id:
-                    # the bound replica is alive but cannot answer for this
-                    # key yet (its submit ledger may hold an in-flight first
-                    # attempt) — keep the binding and tell the client to
-                    # retry later; trying elsewhere could mint a duplicate
-                    bound_unavailable = True
-                    break
-                # any other 5xx: the replica answered and provably owns no
-                # job for this key — lift the binding and try others
-                tried.add(replica.id)
-                self.idempotency.unbind(idempotency_key)
-                continue
-            self._count_forward("ok")
-            replica.breaker.record_success()
-            if attempts == 1:
-                self.retry_budget.deposit()
+                return self._proxied(response)  # unkeyed: see _classify_submit
             if response.status == 429 and self.tenant_gate is not None:
                 self._note_replica_shed(response)
             rewritten = self._rewrite_submit(response, replica)
             if idempotency_key and response.ok:
                 self.idempotency.put(idempotency_key, replica.id, rewritten)
             return rewritten
-        if bound_unavailable:
-            return self._unavailable(
-                503,
-                f"the replica bound to Idempotency-Key {idempotency_key!r} is unavailable; retry later",
-            )
-        if saturated:
-            return self._unavailable(429, f"all replicas of {self.name!r} are at capacity")
-        return self._unavailable(503, f"no replica of {self.name!r} can take the request")
+        finally:
+            if idempotency_key:
+                # no-op when the response was stored; otherwise hands the
+                # reservation to a waiting duplicate
+                self.idempotency.release(idempotency_key)
 
-    def _count_forward(self, outcome: str) -> None:
-        if self._forward_attempts is not None:
-            self._forward_attempts.labels(outcome).inc()
-
-    def _bound_replica(self, key: str) -> "tuple[Replica | None, bool]":
-        """The replica ``key`` is pinned to, with its in-flight slot held.
-
-        Returns ``(replica, bound)``: ``(None, False)`` when the key is
-        unbound (normal selection applies), ``(None, True)`` when it is
-        bound but the replica cannot take the request right now — the
-        caller must answer 503 rather than risk a duplicate elsewhere. A
-        binding to a *retired* replica follows the handoff chain — the
-        successor imported the ambiguous job (if it exists) with its key
-        binding, so its submit ledger deduplicates — and the key is
-        rebound there. A binding to an *evicted* replica is dropped: the
-        ambiguous job (if it ever existed) died with the replica, so a
-        fresh placement is the only way forward.
-        """
-        bound_id = self.idempotency.binding(key)
-        if bound_id is None:
-            return None, False
-        replica = self.replicas.get(bound_id)
-        if replica is None:
-            successor_id = self.handoffs.resolve(bound_id)
-            replica = self.replicas.get(successor_id) if successor_id is not None else None
-            if replica is None:
-                self.idempotency.unbind(key)
-                return None, False
+    def _classify_submit(
+        self, key: "str | None", replica: Replica, answer: "Response | TransportError"
+    ) -> str:
+        """Submit verdicts; ``key`` is the request's Idempotency-Key."""
+        if isinstance(answer, ConnectError):
+            # nothing reached the replica: safe to try another (a key bound
+            # to this replica keeps the key-bound selection on it)
+            return RETRY
+        if isinstance(answer, TransportError):
+            if key is None:
+                # the replica may have processed the request; replaying
+                # without a key could create a duplicate job
+                raise HttpError(
+                    502,
+                    f"connection to replica {replica.id} failed mid-request: {answer}",
+                    details={"hint": "supply an Idempotency-Key to make POSTs replayable"},
+                ) from answer
+            # ambiguous: the replica may own this key's job now, so pin
+            # every further attempt (this request and later client
+            # retries) to it — its idempotency ledger deduplicates
             self.idempotency.bind(key, replica.id)
-        if replica.state is ReplicaState.DOWN or not replica.acquire_slot():
-            return None, True
-        if not replica.breaker.allow():
-            replica.release_slot()
-            return None, True
-        return replica, True
+            return RETRY
+        if answer.status < 500 or key is None:
+            # unkeyed, even a 5xx is final: the replica may have created
+            # the job, so the answer goes back as is
+            return DONE
+        if answer.status == 503 and self.idempotency.binding(key) == replica.id:
+            # the bound replica is alive but cannot answer for this key yet
+            # (its submit ledger may hold an in-flight first attempt) —
+            # keep the binding and tell the client to retry later; trying
+            # elsewhere could mint a duplicate
+            return HOLD
+        # any other 5xx: the replica answered and provably owns no job for
+        # this key — lift the binding and try others
+        self.idempotency.unbind(key)
+        return RETRY
 
     def _get_job(self, request: Request, name: str, job_id: str) -> Response:
-        replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(replica, "GET", f"/services/{name}/jobs/{raw_id}", request)
+        replica, response = self._forward_job(request, "GET", name, job_id)
         if not response.ok:
             # includes 304 Not Modified: body-free, ETag passes through
             return self._proxied(response)
@@ -652,8 +577,7 @@ class ServiceGateway:
         return rewritten
 
     def _delete_job(self, request: Request, name: str, job_id: str) -> Response:
-        replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(replica, "DELETE", f"/services/{name}/jobs/{raw_id}", request)
+        _, response = self._forward_job(request, "DELETE", name, job_id)
         return self._proxied(response)
 
     def _get_trace(self, request: Request, name: str, job_id: str) -> Response:
@@ -663,10 +587,7 @@ class ServiceGateway:
         ``gateway.forward`` spans of the same trace. Merging both sides
         here yields the complete gateway → replica → adapter tree.
         """
-        replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(
-            replica, "GET", f"/services/{name}/jobs/{raw_id}/trace", request
-        )
+        _, response = self._forward_job(request, "GET", name, job_id, "/trace")
         if not response.ok:
             return self._proxied(response)
         document = response.json_body
@@ -682,11 +603,16 @@ class ServiceGateway:
         return Response.json(document, status=response.status)
 
     def _get_file(self, request: Request, name: str, job_id: str, file_id: str) -> Response:
-        replica, raw_id = self._pin(job_id)
-        response = self._forward_pinned(
-            replica, "GET", f"/services/{name}/jobs/{raw_id}/files/{file_id}", request
-        )
+        _, response = self._forward_job(request, "GET", name, job_id, f"/files/{file_id}")
         return self._proxied(response)
+
+    def _forward_job(
+        self, request: Request, method: str, name: str, job_id: str, tail: str = ""
+    ) -> "tuple[Replica, Response]":
+        replica_id, raw_id = decode_job_id(job_id)
+        selection = Selection("pinned", replica=self._pin_replica(replica_id))
+        path = f"/services/{name}/jobs/{raw_id}{tail}"
+        return self.forward(request, method, path, selection, classify_pinned)
 
     def _put_blob(self, request: Request, ref: "str | None" = None) -> Response:
         """Upload through the gateway: placed by content digest.
@@ -695,22 +621,11 @@ class ServiceGateway:
         (and later digest-keyed fetches) on the same replica, so dedup in
         the replica's chunk store actually triggers.
         """
-        digest: str | None = None
-        replica: Replica | None = None
-        if ref is not None:
-            replica_id, digest = decode_blob_ref(ref)
-            if replica_id is not None:
-                replica = self._pin_replica(replica_id)
-        if replica is None:
-            replica, reason = self._select(set(), digest)
-            if replica is None:
-                if reason == "saturated":
-                    return self._unavailable(429, f"all replicas of {self.name!r} are at capacity")
-                return self._unavailable(503, f"no replica of {self.name!r} can take the upload")
-            # _forward_pinned manages its own slot; release the one _select held
-            replica.release_slot()
+        selection, digest = self._blob_selection(ref)
         method, path = ("PUT", f"/blobs/{digest}") if digest is not None else ("POST", "/blobs")
-        response = self._forward_pinned(replica, method, path, request, body=request.body_bytes)
+        replica, response = self.forward(
+            request, method, path, selection, classify_pinned, body=request.body_bytes
+        )
         if not response.ok:
             return self._proxied(response)
         document = rewrite_tree(response.json_body, replica, self.base_uri)
@@ -720,25 +635,129 @@ class ServiceGateway:
             rewritten.headers.set("Location", rewrite_uri(location, replica, self.base_uri))
         return rewritten
 
-    def _get_blob(self, request: Request, ref: str) -> Response:
-        return self._proxied(self._blob_response(request, ref, ""))
-
-    def _get_blob_manifest(self, request: Request, ref: str) -> Response:
-        # manifests carry digests only, never URIs: nothing to rewrite
-        return self._proxied(self._blob_response(request, ref, "/manifest"))
-
-    def _blob_response(self, request: Request, ref: str, suffix: str) -> Response:
+    def _get_blob(self, request: Request, ref: str, suffix: str = "") -> Response:
         """Fetch a blob resource: pinned when the ref carries a replica
         prefix, otherwise resolved by content — any replica holding the
         digest may answer, so 404s fall through to the next one."""
-        replica_id, digest = decode_blob_ref(ref)
-        path = f"/blobs/{digest}{suffix}"
+        selection, digest = self._blob_selection(ref)
+        classify = classify_pinned if selection.replica is not None else classify_lookup
+        _, response = self.forward(request, "GET", f"/blobs/{digest}{suffix}", selection, classify)
+        return self._proxied(response)
+
+    def _blob_selection(self, ref: "str | None") -> "tuple[Selection, str | None]":
+        replica_id, digest = decode_blob_ref(ref) if ref is not None else (None, None)
         if replica_id is not None:
-            return self._forward_pinned(self._pin_replica(replica_id), "GET", path, request)
-        _, response = self._forward_blob_any("GET", path, request, key=digest)
-        return response
+            return Selection("blob", replica=self._pin_replica(replica_id)), digest
+        return Selection("blob", key=digest), digest
 
     # ----------------------------------------------------------- forwarding
+
+    def forward(
+        self,
+        request: Request,
+        method: str,
+        path: str,
+        selection: Selection,
+        classify: "Callable[[Replica, Response | TransportError], str]",
+        body: bytes = b"",
+    ) -> "tuple[Replica, Response]":
+        """Forward ``request`` one :class:`Attempt` at a time to the
+        replicas ``selection`` allows, until ``classify`` calls an answer
+        :data:`DONE`; returns ``(replica, answer)``, or raises the refusal.
+
+        One budget rule holds on every route: each retry after a failed
+        attempt spends one ``RetryBudget`` token, a success on the first
+        attempt deposits, and a :data:`NOT_HERE` move spends nothing.
+        """
+        headers = self._forward_headers(request)
+        target = path + ("?" + urlencode(request.query) if request.query else "")
+        tried: set[str] = set()
+        attempt: "Attempt | None" = None
+        attempts, missing, obstacle = 0, False, "unavailable"
+        while selection.limit is None or attempts < selection.limit:
+            # spend the retry token before claiming, so a dry budget cannot
+            # strand the half-open probe permit a claim may take
+            retry = attempt is not None and attempt.failed
+            if retry and not self.retry_budget.try_spend():
+                logger.warning(
+                    "gateway %s: retry budget exhausted for %s %s", self.name, method, path
+                )
+                break
+            claimed = self._claim(selection, tried)
+            if isinstance(claimed, str):
+                if retry:
+                    self.retry_budget.refund()  # no replica left: no retry happened
+                obstacle = claimed
+                break
+            attempt, attempts = claimed, attempts + 1
+            with attempt:
+                # the trace header is taken inside the attempt's span, so the
+                # replica's spans parent under it (untraced, a client's own
+                # X-Trace passes through)
+                attempt.answer = self.registry.request(
+                    method,
+                    attempt.replica.base_url + target,
+                    headers={**headers, **trace_headers()},
+                    body=body,
+                )
+            verdict = classify(attempt.replica, attempt.answer)
+            if verdict == DONE:
+                if attempts == 1 and not attempt.failed:
+                    self.retry_budget.deposit()
+                return attempt.replica, attempt.answer
+            if verdict == HOLD:
+                obstacle = "bound"
+                break
+            missing = missing or verdict == NOT_HERE
+            tried.add(attempt.replica.id)
+        raise self._refusal(selection, obstacle, missing)
+
+    def _claim(self, selection: Selection, tried: set[str]) -> "Attempt | str":
+        """The next attempt ``selection`` allows, or the obstacle:
+        ``"saturated"`` (capacity only), ``"open"`` (the pinned replica's
+        breaker), ``"bound"`` (the key's bound replica cannot take it —
+        the caller must answer 503 rather than risk a duplicate
+        elsewhere) or ``"unavailable"``."""
+
+        def claim(replica: Replica) -> "Attempt | str":
+            return Attempt.claim(replica, selection.route, self._forward_attempts)
+
+        if selection.replica is not None:
+            return "unavailable" if tried else claim(selection.replica)
+        bound = self._bound_replica(selection.bound_key) if selection.bound_key else None
+        if bound is not None:
+            attempt = claim(bound) if bound.state is not ReplicaState.DOWN else None
+            return attempt if isinstance(attempt, Attempt) else "bound"
+        replicas = self.replicas.replicas()
+        saturated = False
+        # healthy replicas are preferred; degraded ones are a fallback tier
+        for state in (ReplicaState.HEALTHY, ReplicaState.DEGRADED):
+            pool = [r for r in replicas if r.state is state and r.id not in tried]
+            while pool:
+                chosen = self.policy.choose(pool, selection.key)
+                attempt = claim(chosen)
+                if isinstance(attempt, Attempt):
+                    return attempt
+                saturated = saturated or attempt == "saturated"
+                pool.remove(chosen)
+        return "saturated" if saturated else "unavailable"
+
+    def _refusal(self, selection: Selection, obstacle: str, missing: bool) -> HttpError:
+        """429 when capacity was the only obstacle, 404 when the replicas
+        asked for a content lookup lack it, 503 + Retry-After otherwise."""
+        if obstacle == "saturated":
+            return self._unavailable(429, f"the replicas of {self.name!r} for this are at capacity")
+        if missing:
+            return HttpError(404, f"no replica of {self.name!r} holds this resource")
+        hint, reason = None, "no replica can take it"
+        if obstacle == "bound":
+            reason = "the replica bound to its Idempotency-Key is unavailable"
+        elif obstacle == "open":
+            hint = max(self.retry_after_hint, selection.replica.breaker.retry_after())
+            reason = f"the circuit of replica {selection.replica.id!r} is open"
+        return self._unavailable(
+            503, f"{self.name!r} cannot serve this request now: {reason}", retry_after=hint
+        )
 
     def _forward_headers(self, request: Request) -> dict[str, str]:
         forwarded: dict[str, str] = {}
@@ -749,76 +768,29 @@ class ServiceGateway:
         if request_id:
             # thread the gateway's correlation id through to the replica
             forwarded["X-Request-Id"] = request_id
-        # and the trace context: the ambient span (if any) wins over a
-        # client-supplied X-Trace; an untraced gateway passes it through
-        forwarded.update(trace_headers())
         return forwarded
 
-    def _target(self, replica: Replica, path: str, request: Request) -> str:
-        url = replica.base_url + path
-        if request.query:
-            url += "?" + urlencode(request.query)
-        return url
+    def _bound_replica(self, key: str) -> "Replica | None":
+        """The replica ``key`` is bound to; None when it is unbound.
 
-    def _select(self, tried: set[str], key: str | None) -> tuple[Replica | None, str | None]:
-        """Pick a replica for a spread route, with its in-flight slot held.
-
-        Healthy replicas are preferred; degraded ones are a fallback tier.
-        Returns ``(None, "saturated")`` when capacity (not health) was the
-        only obstacle — the caller answers 429 rather than 503.
+        A binding to a *retired* replica follows the handoff chain — the
+        successor imported the ambiguous job (if it exists) with its key
+        binding, so its submit ledger deduplicates — and the key is
+        rebound there. A binding to an *evicted* replica is dropped: the
+        ambiguous job (if it ever existed) died with the replica, so a
+        fresh placement is the only way forward.
         """
-        replicas = self.replicas.replicas()
-        saturated = False
-        for state in (ReplicaState.HEALTHY, ReplicaState.DEGRADED):
-            pool = [r for r in replicas if r.state is state and r.id not in tried]
-            while pool:
-                chosen = self.policy.choose(pool, key)
-                if not chosen.acquire_slot():
-                    saturated = True
-                    pool.remove(chosen)
-                    continue
-                if not chosen.breaker.allow():
-                    chosen.release_slot()
-                    pool.remove(chosen)
-                    continue
-                return chosen, None
-        return None, ("saturated" if saturated else "unavailable")
+        bound_id = self.idempotency.binding(key)
+        if bound_id is None:
+            return None
+        replica = self._resolve(bound_id)
+        if replica is None:
+            self.idempotency.unbind(key)
+        elif replica.id != bound_id:
+            self.idempotency.bind(key, replica.id)
+        return replica
 
-    def _forward_any(self, method: str, path: str, request: Request) -> tuple[Replica, Response]:
-        """Send an idempotent read to whichever available replica answers."""
-        tried: set[str] = set()
-        saturated = False
-        for _ in range(max(1, len(self.replicas))):
-            replica, reason = self._select(tried, None)
-            if replica is None:
-                saturated = saturated or reason == "saturated"
-                break
-            try:
-                response = self.registry.request(
-                    method, self._target(replica, path, request), headers=self._forward_headers(request)
-                )
-            except TransportError:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            finally:
-                replica.release_slot()
-            if response.status >= 500:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            replica.breaker.record_success()
-            return replica, response
-        if saturated:
-            raise self._unavailable_error(429, f"all replicas of {self.name!r} are at capacity")
-        raise self._unavailable_error(503, f"no replica of {self.name!r} is reachable")
-
-    def _pin(self, job_id: str) -> tuple[Replica, str]:
-        """Resolve a public job id to its owning replica (slot not held)."""
-        replica_id, raw_id = decode_job_id(job_id)
-        return self._pin_replica(replica_id), raw_id
-
-    def _pin_replica(self, replica_id: str) -> Replica:
+    def _resolve(self, replica_id: str) -> "Replica | None":
         replica = self.replicas.get(replica_id)
         if replica is None:
             # retired? its jobs (raw ids intact) live on at the successor,
@@ -826,85 +798,17 @@ class ServiceGateway:
             successor_id = self.handoffs.resolve(replica_id)
             if successor_id is not None:
                 replica = self.replicas.get(successor_id)
+        return replica
+
+    def _pin_replica(self, replica_id: str) -> Replica:
+        replica = self._resolve(replica_id)
         if replica is None:
             raise HttpError(404, f"no replica {replica_id!r} behind this gateway")
         if replica.state is ReplicaState.DOWN:
-            raise self._unavailable_error(
+            raise self._unavailable(
                 503, f"replica {replica_id!r} is down; its resources are unavailable until it recovers"
             )
         return replica
-
-    def _forward_pinned(
-        self, replica: Replica, method: str, path: str, request: Request, body: bytes = b""
-    ) -> Response:
-        if not replica.acquire_slot():
-            raise self._unavailable_error(429, f"replica {replica.id!r} is at capacity")
-        if not replica.breaker.allow():
-            replica.release_slot()
-            raise self._unavailable_error(
-                503,
-                f"replica {replica.id!r} circuit is open",
-                retry_after=max(self.retry_after_hint, replica.breaker.retry_after()),
-            )
-        try:
-            with span("gateway.forward", labels={"replica": replica.id, "path": path}):
-                response = self.registry.request(
-                    method,
-                    self._target(replica, path, request),
-                    headers=self._forward_headers(request),
-                    body=body,
-                )
-        except TransportError as exc:
-            replica.breaker.record_failure()
-            raise HttpError(502, f"replica {replica.id!r} unreachable: {exc}") from exc
-        finally:
-            replica.release_slot()
-        if response.status >= 500:
-            replica.breaker.record_failure()
-        else:
-            replica.breaker.record_success()
-        return response
-
-    def _forward_blob_any(
-        self, method: str, path: str, request: Request, key: "str | None" = None
-    ) -> tuple[Replica, Response]:
-        """Resolve a content-addressed resource: a 404 from one replica
-        just means *it* does not hold the blob, so keep trying others.
-        The digest key steers a consistent-hash policy to the likeliest
-        holder first."""
-        tried: set[str] = set()
-        missing = 0
-        saturated = False
-        for _ in range(max(1, len(self.replicas))):
-            replica, reason = self._select(tried, key)
-            if replica is None:
-                saturated = saturated or reason == "saturated"
-                break
-            try:
-                response = self.registry.request(
-                    method, self._target(replica, path, request), headers=self._forward_headers(request)
-                )
-            except TransportError:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            finally:
-                replica.release_slot()
-            if response.status >= 500:
-                replica.breaker.record_failure()
-                tried.add(replica.id)
-                continue
-            replica.breaker.record_success()
-            if response.status == 404:
-                missing += 1
-                tried.add(replica.id)
-                continue
-            return replica, response
-        if missing and not saturated:
-            raise HttpError(404, f"no replica of {self.name!r} holds this blob")
-        if saturated:
-            raise self._unavailable_error(429, f"all replicas of {self.name!r} are at capacity")
-        raise self._unavailable_error(503, f"no replica of {self.name!r} is reachable")
 
     # ------------------------------------------------------------ responses
 
@@ -938,29 +842,10 @@ class ServiceGateway:
                 out.headers.set(header_name, value)
         return out
 
-    def _unavailable(self, status: int, message: str, retry_after: float | None = None) -> Response:
-        return self._unavailable_error(status, message, retry_after=retry_after).to_response()
-
-    def _unavailable_error(
-        self, status: int, message: str, retry_after: float | None = None
-    ) -> HttpError:
-        error = _RetryableError(status, message)
-        error.retry_after = min(
-            self.retry_after_cap,
-            retry_after if retry_after is not None else self.retry_after_hint,
-        )
-        return error
-
-
-class _RetryableError(HttpError):
-    """An HttpError whose response carries a ``Retry-After`` hint."""
-
-    retry_after: float = 1.0
-
-    def to_response(self) -> Response:
-        response = super().to_response()
-        response.headers.set("Retry-After", f"{self.retry_after:g}")
-        return response
+    def _unavailable(self, status: int, message: str, retry_after: float | None = None) -> HttpError:
+        """A 429/503 whose ``Retry-After`` hint is clamped to ``retry_after_cap``."""
+        hint = retry_after if retry_after is not None else self.retry_after_hint
+        return HttpError(status, message, retry_after=min(self.retry_after_cap, hint))
 
 
 def make_replicated_gateway(

@@ -13,7 +13,7 @@ import re
 import time
 import uuid
 from typing import Any, Mapping
-from urllib.parse import quote, urlencode
+from urllib.parse import urlencode
 
 from repro.http.messages import JSON_CONTENT_TYPE, Response
 from repro.http.registry import TransportRegistry
@@ -258,8 +258,3 @@ class RestClient:
             response.status, message, details=details, url=url,
             retry_after=parse_retry_after(response.headers.get("Retry-After")),
         )
-
-
-def quote_segment(segment: str) -> str:
-    """Percent-encode one path segment for safe URI embedding."""
-    return quote(segment, safe="")

@@ -236,11 +236,6 @@ class Request:
         )
 
     @property
-    def body_size(self) -> int:
-        """Total body length, wherever the bytes live."""
-        return self.spool.size if self.spool is not None else len(self.body)
-
-    @property
     def body_bytes(self) -> bytes:
         """The whole body as one buffer (reads the spool when spilled)."""
         return self.spool.read_all() if self.spool is not None else self.body

@@ -13,7 +13,8 @@ schedule:
 - **no job is duplicated** — despite replays, retries and failovers,
   each Idempotency-Key owns exactly one job across all replicas;
 - **gauges drain** — replica in-flight counts and the idempotency
-  cache's pending reservations return to zero;
+  cache's pending reservations return to zero, and no breaker holds an
+  unanswered half-open probe permit;
 - **every rejection is well-formed** — 429/503 answers carry a
   ``Retry-After`` hint, and keyed POSTs are never answered with the
   ambiguous 502.
@@ -357,11 +358,7 @@ class GatewayChaosCell:
             )
         for marker in counts:
             self.check(int(marker) in self.expected, f"job with unknown marker {marker!r} exists")
-        for replica in self.gateway.replicas.replicas():
-            self.check(
-                replica.in_flight == 0,
-                f"replica {replica.id} in-flight gauge stuck at {replica.in_flight}",
-            )
+        self.verify_replicas_drained()
         self.check(
             self.gateway.idempotency.pending_count == 0,
             f"idempotency cache holds {self.gateway.idempotency.pending_count} reservations",
@@ -370,6 +367,20 @@ class GatewayChaosCell:
         self.check(0 <= budget.balance <= budget.cap, f"retry budget off the rails: {budget.balance}")
         if self._journal_root is not None:
             self.verify_replay_binding()
+
+    def verify_replicas_drained(self) -> None:
+        """Every forward gave back what it took: no in-flight slot held,
+        and no breaker holding a half-open probe permit nobody answered."""
+        for replica in self.gateway.replicas.replicas():
+            self.check(
+                replica.in_flight == 0,
+                f"replica {replica.id} in-flight gauge stuck at {replica.in_flight}",
+            )
+            self.check(
+                replica.breaker.probes_in_flight == 0,
+                f"replica {replica.id} breaker holds {replica.breaker.probes_in_flight} "
+                "unanswered half-open probe permits",
+            )
 
     def verify_replay_binding(self) -> None:
         """Replaying a key straight at its owning replica must bind to the
@@ -624,11 +635,7 @@ class CacheChaosCell(GatewayChaosCell):
                 peak <= 1,
                 f"fingerprint {key} executed {peak} times concurrently",
             )
-        for replica in self.gateway.replicas.replicas():
-            self.check(
-                replica.in_flight == 0,
-                f"replica {replica.id} in-flight gauge stuck at {replica.in_flight}",
-            )
+        self.verify_replicas_drained()
         self.verify_warm_reuse()
         # the gateway saw the replicas' X-Cache answers: at least the warm
         # reuse sweep above must have registered

@@ -6,11 +6,12 @@ import pytest
 
 from repro.container import ServiceContainer
 from repro.gateway import ServiceGateway
-from repro.gateway.breaker import CircuitBreaker
+from repro.gateway.breaker import BreakerState, CircuitBreaker
 from repro.gateway.replicaset import Replica, ReplicaSet
 from repro.gateway.routing import decode_blob_ref, rewrite_uri
 from repro.http.client import RestClient
 from repro.http.registry import TransportRegistry
+from tests.gateway.test_breaker import FakeClock
 
 GATEWAY = "http://gw:9000"
 
@@ -174,3 +175,37 @@ class TestGatewayBlobRoutes:
         fetched = client.request_raw("GET", reference["$file"])
         assert fetched.status == 200
         assert fetched.body == b"workflow bytes" * 20
+
+
+
+class TestUnpinnedUploadBreaker:
+    """An unpinned upload takes its replica's half-open probe permit and
+    must answer it: a leaked permit leaves the breaker HALF_OPEN with no
+    probe left to grant, refusing every route through the gateway."""
+
+    @pytest.mark.parametrize("method", ["POST", "PUT"])
+    def test_upload_through_half_open_breaker_closes_it(self, registry, client, method):
+        content = b"probe upload"
+        path = "/blobs" if method == "POST" else f"/blobs/{sha(content)}"
+        container = ServiceContainer(f"gwb-probe-{method.lower()}", handlers=1, registry=registry)
+        gateway = ServiceGateway(registry=registry, name=f"gwb-probe-gw-{method.lower()}")
+        try:
+            replica = gateway.add_replica(container.local_base)
+            clock = FakeClock()
+            replica.breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0, clock=clock)
+            for _ in range(3):
+                replica.breaker.record_failure()
+            clock.advance(10.0)
+            assert replica.breaker.state is BreakerState.HALF_OPEN
+            response = client.request_raw(method, gateway.base_uri + path, body=content)
+            assert response.status == 201
+            assert replica.breaker.state is BreakerState.CLOSED
+            assert replica.breaker.probes_in_flight == 0
+            assert replica.in_flight == 0
+            # and the replica keeps serving every route afterwards
+            assert client.request_raw("GET", gateway.base_uri + "/services").status == 200
+            again = client.request_raw(method, gateway.base_uri + path, body=content)
+            assert again.status == 201
+        finally:
+            gateway.shutdown()
+            container.shutdown()

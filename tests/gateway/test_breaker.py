@@ -145,6 +145,14 @@ class TestRetryBudget:
             budget.deposit()
         assert budget.balance == pytest.approx(3.0)
 
+    def test_refund_returns_an_unused_token(self):
+        budget = RetryBudget(ratio=0.5, initial=1.0, cap=1.0)
+        assert budget.try_spend()
+        budget.refund()
+        assert budget.balance == pytest.approx(1.0)
+        budget.refund()
+        assert budget.balance == pytest.approx(1.0)  # refunds respect the cap
+
     def test_initial_is_clamped_to_cap(self):
         assert RetryBudget(initial=50.0, cap=5.0).balance == pytest.approx(5.0)
 

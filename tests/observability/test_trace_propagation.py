@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.container import ServiceContainer
 from repro.gateway import ServiceGateway
 from repro.http.registry import TransportRegistry
-from repro.observability import verify_trace_tree
+from repro.observability import parse_metrics, verify_trace_tree
 from repro.runtime.trace import (
     SpanContext,
     Tracer,
@@ -328,6 +328,32 @@ class TestGatewayTraceEndToEnd:
             assert replica_request["name"] == "http.request"
             assert parent_of(replica_request)["name"] == "gateway.forward"
             assert run["link"] == "follows"
+
+    def test_every_route_is_traced_and_counted(self, platform):
+        """Pinned and spread reads get the same ``gateway.forward`` span
+        and attempt counter as submits, labelled by route."""
+        registry, gateway, _ = platform
+        submitted = registry.request(
+            "POST", f"{gateway.base_uri}/services/add",
+            body=json.dumps({"a": 1, "b": 2}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        assert submitted.status == 201
+        for route, uri in (("pinned", submitted.json_body["uri"]),
+                           ("read", f"{gateway.base_uri}/services")):
+            trace_id = f"t-route-{route}"
+            response = registry.request(
+                "GET", uri, headers={"X-Trace": f"{trace_id}/feedface00000000"})
+            assert response.status == 200
+            forwards = [s for s in gateway.tracer.spans(trace_id)
+                        if s["name"] == "gateway.forward"]
+            assert len(forwards) == 1, forwards
+            assert set(forwards[0]["labels"]) == {"route", "replica"}
+            assert forwards[0]["labels"]["route"] == route
+        page = registry.request("GET", f"{gateway.base_uri}/metrics").body.decode()
+        attempts = parse_metrics(page)["mc_gateway_forward_attempts_total"]
+        for route in ("submit", "pinned", "read"):
+            assert attempts.value(route=route, outcome="ok") >= 1, route
 
     def test_traces_of_distinct_jobs_never_cross(self, platform):
         registry, gateway, _ = platform
